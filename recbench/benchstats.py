@@ -10,6 +10,7 @@ be reported at a reference speed.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import statistics
@@ -71,19 +72,29 @@ def calibration_chunk(clock=time.perf_counter) -> float:
     """Time of one fixed pure-Python chunk of work on this host, now.
 
     The chunk does what the program does most — tuple keys, dict probes,
-    frozenset unions and hashing — and shares none of its code, so a change
-    to the program cannot change it.  Its table adds about 2 MB to the
-    measuring process.
+    frozenset unions and hashing — and shares none of its code.  It runs
+    with the cyclic garbage collector off: a collection costs time in
+    proportion to the program's live heap, and one landing in the chunk
+    would make the divisor depend on the program.  Its table adds about
+    2 MB to the measuring process.
     """
     table, keys = _calibration_inputs()
-    started = clock()
-    seen: dict = {}
-    digest = 0
-    for key in keys:
-        members = table[key]
-        seen[key[0] & 4095] = (members, key)
-        digest ^= hash(members | {key[0] & 15})
-    return clock() - started
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        started = clock()
+        seen: dict = {}
+        digest = 0
+        for key in keys:
+            members = table[key]
+            seen[key[0] & 4095] = (members, key)
+            digest ^= hash(members | {key[0] & 15})
+        elapsed = clock() - started
+        del seen  # freed before collection resumes: no debt left for the program
+    finally:
+        if collecting:
+            gc.enable()
+    return elapsed
 
 
 class Calibrator:

@@ -1,8 +1,8 @@
 """Freeze the verdict reference for the catalogue's ``*-llc-*`` scenarios.
 
 ``tests/data/catalogue_golden.json`` covers the 79 scenarios that predate
-the cache-hierarchy family; this file pins the other 8 the same way (the
-mode-insensitive result hash, without the metrics schema number).  Run it
+the cache-hierarchy family; this file pins the other 8 with the same
+mode-insensitive result hash.  Run it
 only when a change to those scenarios' bounds is intended:
 
     PYTHONPATH=src python3 recbench/make_reference.py
@@ -23,7 +23,7 @@ def main() -> None:
         result = execute_scenario(scenario)
         if not result.ok:
             raise SystemExit(f"{name}: status {result.status}")
-        reference[name] = result_hash(result, with_schema=False)
+        reference[name] = result_hash(result)
     LLC_REFERENCE_PATH.write_text(json.dumps(reference, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(reference)} entries to {LLC_REFERENCE_PATH}")
 

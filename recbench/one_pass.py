@@ -42,7 +42,7 @@ def main() -> None:
                         help="which of the seed's item orders this pass runs")
     parser.add_argument("--workdir", required=True)
     parser.add_argument("--limit", type=int, default=None,
-                        help="run only the first N items (self-tests)")
+                        help="run only N items, the same in every order (self-tests)")
     parser.add_argument("--trace", action="store_true",
                         help="wrap the layers and report per-layer metrics")
     parser.add_argument("--setup-only", action="store_true")

@@ -40,6 +40,7 @@ from benchstats import REFERENCE_S, latency_summary
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+WORK_ROOT = ROOT / ".recbench_work"   # stores of the passes; bytecode cache
 WORKLOADS = ("catalogue", "soundness", "store-resume")
 
 END_TO_END = {
@@ -76,6 +77,7 @@ PER_LAYER = {
 # The counts that must repeat exactly from one traced pass to the next.
 DETERMINISTIC = ("vm.runs", "vm.steps", "analysis.steps",
                  "sweep.checkpoints", "sweep.hits")
+TRACED_PASSES = 2       # at least, so the repeat of DETERMINISTIC is checked
 
 SETUP_SAMPLES = 7       # fresh interpreters timed per run for setup_s
 HARD_LIMIT_S = 170.0    # a run must end well inside the 180 s limit
@@ -88,6 +90,11 @@ class PassFailed(Exception):
 def _child_environment() -> dict:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = "0"
+    # Set-up time must not include compiling the program's source, whether
+    # or not this environment lets Python write bytecode; the cache lives
+    # in the work directory, so the source tree is left as it was.
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env["PYTHONPYCACHEPREFIX"] = str(WORK_ROOT / "pycache")
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
                                if env.get("PYTHONPATH") else "")
@@ -234,16 +241,28 @@ def end_to_end(passes: list, setups: list,
 
 
 def traced(session: Session, seconds: float) -> tuple[list, dict, list[str]]:
-    """One untraced pass, then traced passes; the per-layer metrics."""
+    """One untraced pass, then traced passes; the per-layer metrics.
+
+    At least ``TRACED_PASSES`` traced passes run, beyond ``seconds`` if
+    need be, so that the deterministic counts are compared between two of
+    them.  A pass that would not end within ``HARD_LIMIT_S`` is not
+    started; if that leaves fewer passes, the run is not correct.
+    """
     measuring = time.monotonic()
     untraced = session.child()
     passes = [untraced]
     traced_passes = []
+    problems = []
     while True:
         report = session.child("--trace")
         traced_passes.append(report)
         spent = time.monotonic() - measuring
-        if spent + report["total_s"] > seconds:
+        if len(traced_passes) >= TRACED_PASSES and spent + report["total_s"] > seconds:
+            break
+        if session.elapsed() + report["total_s"] > HARD_LIMIT_S:
+            if len(traced_passes) < TRACED_PASSES:
+                problems.append(f"only {len(traced_passes)} traced pass fits in "
+                                f"{HARD_LIMIT_S:.0f} s: the counts were not compared")
             break
     passes += traced_passes
     layers = {name: statistics.median(report["layers"][name] for report in traced_passes)
@@ -252,10 +271,20 @@ def traced(session: Session, seconds: float) -> tuple[list, dict, list[str]]:
     # calibration would not match the untraced pass's.
     layers["obs.trace_overhead_ratio"] = statistics.median(
         report["wall_s"] for report in traced_passes) / untraced["wall_s"]
-    problems = [f"{name} differs between traced passes"
-                for name in DETERMINISTIC
-                if len({report["layers"][name] for report in traced_passes}) > 1]
+    problems += [f"{name} differs between traced passes"
+                 for name in DETERMINISTIC
+                 if len({report["layers"][name] for report in traced_passes}) > 1]
     return passes, layers, problems
+
+
+def failed_items(passes: list) -> int:
+    """Items with a wrong verdict, each counted once per pass it failed in.
+
+    A problem of the whole run (no item named) makes the run incorrect but
+    fails no item.
+    """
+    return sum(len({item for item, _message in report["problems"] if item is not None})
+               for report in passes)
 
 
 def main(argv=None) -> int:
@@ -279,9 +308,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    work_root = ROOT / ".recbench_work"
-    work_root.mkdir(exist_ok=True)
-    workdir = tempfile.mkdtemp(dir=work_root)
+    WORK_ROOT.mkdir(exist_ok=True)
+    workdir = tempfile.mkdtemp(dir=WORK_ROOT)
     session = Session(args.workload, args.seed, workdir, args.limit)
     try:
         if args.trace:
@@ -294,14 +322,10 @@ def main(argv=None) -> int:
         return 1
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-        try:
-            work_root.rmdir()
-        except OSError:
-            pass  # another run is using it
 
     attempted = sum(report["attempted"] for report in passes)
-    wrong = [problem for report in passes for problem in report["problems"]]
-    failed = min(attempted, len(wrong))
+    wrong = [message for report in passes for _item, message in report["problems"]]
+    failed = failed_items(passes)
     correct = not wrong and not problems
     print(f"workload {args.workload}, seed {args.seed}: {len(passes)} passes of "
           f"{passes[0]['attempted']} items, closed loop, one caller"

@@ -4,9 +4,10 @@ Each workload is a closed-loop batch job with one caller.  Constructing a
 workload object is its set-up (imports, catalogue or grid, store); ``run``
 is the timed pass and returns ``(start, latency)`` per item, on the
 ``time.perf_counter`` clock; ``check`` runs after
-the timed pass and returns one message per item whose verdict is wrong.
+the timed pass and returns ``(item, message)`` per wrong verdict, where
+``item`` names the scenario, or is ``None`` for a problem of the whole run.
 ``run`` gives its calibrator (``benchstats.Calibrator``) a chance to sample
-the host's speed between items, outside every item's time.
+the host's speed between items; no item's time includes a sample.
 
 - ``catalogue``: every ``all_scenarios()`` entry in seeded order through
   one inline ``SweepRunner`` without a store — what ``sweep --all`` does.
@@ -45,8 +46,9 @@ GOLDEN_PATH = HERE.parent / "tests" / "data" / "catalogue_golden.json"
 LLC_REFERENCE_PATH = HERE / "llc_reference.json"
 
 # Engine counters whose values depend on which acceleration tiers ran; the
-# catalogue verdict hash leaves them out, as tests/sweep's golden does.  A
-# key missing from a payload is simply not there to drop.
+# catalogue verdict hash leaves them out.  This is the set of
+# tests/sweep/test_catalogue_golden.py, which owns the golden (a self-test
+# keeps the two equal).  A key missing from a payload is not there to drop.
 MODE_SENSITIVE_METRICS = frozenset((
     "spec_blocks", "spec_block_runs", "spec_steps", "interp_steps",
     "cache_evictions",
@@ -66,28 +68,24 @@ def _is_aes_preload(name: str) -> bool:
 
 
 def _seeded(items: list, seed, limit: int | None) -> list:
-    ordered = list(items)
+    """``items`` in the seed's order; with a ``limit``, the first ``limit``
+    items, so every order of a run holds the same items."""
+    ordered = list(items if limit is None else items[:limit])
     random.Random(seed).shuffle(ordered)
-    return ordered if limit is None else ordered[:limit]
+    return ordered
 
 
-def result_hash(result, with_schema: bool = True) -> str:
-    """sha256 of a result payload without the mode-sensitive counters.
-
-    ``with_schema=False`` also drops ``metrics_schema``: the frozen
-    ``llc_reference.json`` pins bounds and counters, not the schema
-    number, so a schema bump alone does not invalidate it.
-    """
+def result_hash(result) -> str:
+    """sha256 of a result payload without the mode-sensitive counters,
+    computed as the catalogue golden computes its ``result_sha256``."""
     payload = result.to_payload()
     payload["metrics"] = {key: value for key, value in payload["metrics"].items()
                           if key not in MODE_SENSITIVE_METRICS}
-    if not with_schema:
-        payload.pop("metrics_schema", None)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def reference_problems(results, golden: dict, llc_reference: dict) -> list[str]:
+def reference_problems(results, golden: dict, llc_reference: dict) -> list[tuple]:
     """Compare catalogue results with the golden and the LLC reference.
 
     Every result must be ``ok`` and match one of the two references by
@@ -95,21 +93,24 @@ def reference_problems(results, golden: dict, llc_reference: dict) -> list[str]:
     """
     problems = []
     for result in results:
+        name = result.scenario
         if not result.ok:
-            problems.append(f"{result.scenario}: status {result.status}")
-        elif result.scenario in golden:
-            if result_hash(result) != golden[result.scenario]["result_sha256"]:
-                problems.append(f"{result.scenario}: differs from the golden")
-        elif result.scenario in llc_reference:
-            if result_hash(result, with_schema=False) != llc_reference[result.scenario]:
-                problems.append(f"{result.scenario}: differs from llc_reference.json")
+            problems.append((name, f"{name}: status {result.status}"))
+        elif name in golden:
+            if result_hash(result) != golden[name]["result_sha256"]:
+                problems.append((name, f"{name}: differs from the golden"))
+        elif name in llc_reference:
+            if result_hash(result) != llc_reference[name]:
+                problems.append((name, f"{name}: differs from llc_reference.json"))
         else:
-            problems.append(f"{result.scenario}: no reference")
+            problems.append((name, f"{name}: no reference"))
     return problems
 
 
 class _NoCalibration:
     """Stands in for a calibrator where nothing samples the host."""
+
+    spent_s = 0.0
 
     def between_items(self, force: int = 0) -> None:
         pass
@@ -140,7 +141,7 @@ class Catalogue:
             self.results.append(result)
         return timings
 
-    def check(self) -> list[str]:
+    def check(self) -> list[tuple]:
         golden = json.loads(GOLDEN_PATH.read_text())
         llc_reference = json.loads(LLC_REFERENCE_PATH.read_text())
         return reference_problems(self.results, golden, llc_reference)
@@ -156,7 +157,7 @@ class Soundness:
         names = sorted(name for name, scenario in catalogue.items()
                        if scenario.kind == LEAKAGE and not _is_aes_preload(name))
         self.items = _seeded([catalogue[name] for name in names], seed, limit)
-        self.problems: list[str] = []
+        self.problems: list[tuple] = []
 
     def _validate(self, scenario) -> None:
         target = scenario.build_target()
@@ -166,10 +167,11 @@ class Soundness:
         validator = ConcreteValidator(target.image, target.spec)
         views = validator.check(analysis, layouts)
         adversaries = validator.check_adversaries(analysis, layouts)
+        name = scenario.name
         if not views.checked:
-            self.problems.append(f"{scenario.name}: no bound checked")
+            self.problems.append((name, f"{name}: no bound checked"))
         for report in (views, adversaries):
-            self.problems.extend(f"{scenario.name}: {violation}"
+            self.problems.extend((name, f"{name}: {violation}")
                                  for violation in report.violations)
 
     def run(self, calibrator=NO_CALIBRATION) -> list[tuple]:
@@ -180,12 +182,12 @@ class Soundness:
             try:
                 self._validate(scenario)
             except Exception as problem:  # one failed item must not end the pass
-                self.problems.append(
-                    f"{scenario.name}: {type(problem).__name__}: {problem}")
+                self.problems.append((scenario.name, f"{scenario.name}: "
+                                      f"{type(problem).__name__}: {problem}"))
             timings.append((started, time.perf_counter() - started))
         return timings
 
-    def check(self) -> list[str]:
+    def check(self) -> list[tuple]:
         return list(self.problems)
 
 
@@ -222,18 +224,25 @@ class _RecordingStore(ResultStore):
 
     It is also where the pooled pass samples the host's speed: the parent
     process is busy checkpointing while the workers run, and a sample taken
-    between two results is taken while the pass runs.
+    between two results is taken while the pass runs.  A sample delays the
+    results that land after it, so each landing also notes the calibrator's
+    time spent so far, which ``latencies`` takes back out.
     """
 
     def __init__(self, path, calibrator):
         super().__init__(path)
         self.calibrator = calibrator
-        self.recorded: list[float] = []
+        self.recorded: list[tuple[float, float]] = []   # (landed, spent_s)
 
     def put(self, result) -> None:
         super().put(result)
-        self.recorded.append(time.perf_counter())
+        self.recorded.append((time.perf_counter(), self.calibrator.spent_s))
         self.calibrator.between_items()
+
+    def latencies(self, submitted: float, spent_s: float) -> list[tuple]:
+        """``(start, latency)`` of each landing since ``submitted``."""
+        return [(submitted, landed - submitted - (spent - spent_s))
+                for landed, spent in self.recorded]
 
 
 class StoreResume:
@@ -262,24 +271,23 @@ class StoreResume:
         self.second: list = []
 
     def run(self, calibrator=NO_CALIBRATION) -> list[tuple]:
-        timings = []
         self.first_store.calibrator = calibrator
-        submitted = time.perf_counter()
+        submitted, spent_s = time.perf_counter(), calibrator.spent_s
         self.first = self.first_runner.run(self.items[:self.half])
-        timings += [(submitted, landed - submitted)
-                    for landed in self.first_store.recorded]
-        submitted = time.perf_counter()
+        timings = self.first_store.latencies(submitted, spent_s)
+        submitted, spent_s = time.perf_counter(), calibrator.spent_s
         resumed = _RecordingStore(self.path, calibrator)
         self.second = SweepRunner(processes=self.PROCESSES, store=resumed).run(self.items)
-        timings += [(submitted, landed - submitted) for landed in resumed.recorded]
-        return timings
+        return timings + resumed.latencies(submitted, spent_s)
 
-    def check(self) -> list[str]:
-        problems = [f"{result.scenario}: status {result.status}"
+    def check(self) -> list[tuple]:
+        """Item problems by scenario; the hit count and the agreement of a
+        policy group's bound rows are problems of the whole run."""
+        problems = [(result.scenario, f"{result.scenario}: status {result.status}")
                     for result in self.first + self.second if not result.ok]
         hits = sum(result.cached for result in self.second)
         if hits != self.half:
-            problems.append(f"store hits {hits} != first-half count {self.half}")
+            problems.append((None, f"store hits {hits} != first-half count {self.half}"))
 
         def canonical(result) -> str:
             return json.dumps(result.to_payload(), sort_keys=True)
@@ -291,16 +299,18 @@ class StoreResume:
         for fingerprint, result in computed.items():
             stored = reopened.get(fingerprint)
             if stored is None or canonical(stored) != canonical(result):
-                problems.append(f"{result.scenario}: store payload differs")
+                problems.append((result.scenario,
+                                 f"{result.scenario}: store payload differs"))
         for result in self.second[:self.half]:
             original = computed.get(result.fingerprint)
             if original is None or canonical(result) != canonical(original):
-                problems.append(f"{result.scenario}: resumed payload differs")
+                problems.append((result.scenario,
+                                 f"{result.scenario}: resumed payload differs"))
 
         rows: dict[tuple, set] = {}
         for result in self.first + self.second:
             rows.setdefault(self.group[result.scenario], set()).add(result.rows)
-        problems.extend(f"{base} cap={cap}: bound rows differ across policies"
+        problems.extend((None, f"{base} cap={cap}: bound rows differ across policies")
                         for (base, cap), variants in rows.items()
                         if len(variants) > 1)
         return problems
