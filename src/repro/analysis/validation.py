@@ -91,6 +91,9 @@ class ConcreteValidator:
         self.image = image
         self.spec = spec
         self.fuel = fuel
+        # Sorted layout items -> one trace per secret valuation.  Sound for
+        # the validator's lifetime: the image and the spec never change.
+        self._traces: dict[tuple, tuple[Trace, ...]] = {}
 
     # ------------------------------------------------------------------
     # Enumeration
@@ -169,17 +172,21 @@ class ConcreteValidator:
         cpu.run(self.spec.entry, fuel=self.fuel)
         return trace, cpu
 
-    def _collect_traces(self, lam: dict[str, int]) -> list[Trace]:
+    def traces(self, lam: dict[str, int]) -> tuple[Trace, ...]:
         """One concrete trace per secret valuation (the expensive VM part).
 
-        Every view — observer projection, hit/miss replay, timing — is a
-        cheap function of these traces, so callers checking several bounds
-        against one layout collect the traces once and derive all views.
+        Every view — observer projection, hit/miss replay, timing, probe
+        replay — is a cheap function of these traces, so the enumeration
+        runs once per layout for the validator's lifetime and every later
+        call with an equal layout returns the same traces.  Callers must not
+        mutate them.
         """
-        traces = []
-        for combo in self._secret_combos():
-            trace, _cpu = self._run_once(lam, combo)
-            traces.append(trace)
+        key = tuple(sorted(lam.items()))
+        traces = self._traces.get(key)
+        if traces is None:
+            traces = tuple(self._run_once(lam, combo)[0]
+                           for combo in self._secret_combos())
+            self._traces[key] = traces
         return traces
 
     def _secret_combos(self):
@@ -192,10 +199,10 @@ class ConcreteValidator:
               stuttering: bool = False) -> set[tuple]:
         """All distinct adversary views over the full secret enumeration."""
         return {trace.view(cache_kind, offset_bits, stuttering)
-                for trace in self._collect_traces(lam)}
+                for trace in self.traces(lam)}
 
     @staticmethod
-    def _adversary_views(traces: list[Trace], cache_kind: str,
+    def _adversary_views(traces: tuple[Trace, ...], cache_kind: str,
                          model: str, cache_factory) -> set:
         collected = set()
         for trace in traces:
@@ -217,16 +224,15 @@ class ConcreteValidator:
         (``"trace"``) or the total (hits, misses) view (``"time"``).
         """
         return self._adversary_views(
-            self._collect_traces(lam), cache_kind, model, cache_factory)
+            self.traces(lam), cache_kind, model, cache_factory)
 
     # ------------------------------------------------------------------
     # Checking against a report
     # ------------------------------------------------------------------
-    def check(self, result: AnalysisResult, layouts: list[dict[str, int]],
-              geometry=None) -> ValidationReport:
+    def check(self, result: AnalysisResult,
+              layouts: list[dict[str, int]]) -> ValidationReport:
         """Check every recorded bound against every provided layout λ."""
         report = ValidationReport()
-        geometry = geometry or result.context.config.geometry
         observer_bits = {
             observer.name: observer.offset_bits
             for observer in result.context.config.observers()
@@ -234,7 +240,7 @@ class ConcreteValidator:
         kind_codes = _KIND_CODES
         with obs_trace.span("validate.views", layouts=len(layouts)) as vspan:
             for lam in layouts:
-                traces = self._collect_traces(lam)
+                traces = self.traces(lam)
                 for (kind, observer_name), bound in result.report.bounds.items():
                     offset_bits = observer_bits[observer_name]
                     for stuttering, limit in (
@@ -281,8 +287,9 @@ class ConcreteValidator:
         within the SHARED block-DAG bound.
 
         ``models`` restricts which recorded bounds are replayed (``None``
-        replays them all) — the expensive secret enumeration still runs
-        once per layout either way.  ``hierarchy`` overrides the replay
+        replays them all) — the expensive secret enumeration runs once per
+        layout either way, shared with :meth:`check` through
+        :meth:`traces`.  ``hierarchy`` overrides the replay
         shape, letting one analysis (the static bounds are
         hierarchy-independent) validate against several hierarchy modes.
         """
@@ -302,10 +309,9 @@ class ConcreteValidator:
                             layouts=len(layouts),
                             policies=",".join(policies)) as vspan:
             for lam in layouts:
-                # The concrete traces are policy- and model-independent: run
-                # the (expensive) secret enumeration once per layout and
-                # replay the traces through a fresh cache per (policy, bound).
-                traces = self._collect_traces(lam)
+                # The concrete traces are policy- and model-independent:
+                # replay them through a fresh cache per (policy, bound).
+                traces = self.traces(lam)
                 for policy in policies:
                     def factory(policy=policy):
                         return SetAssociativeCache(cache_config, policy=policy)
@@ -315,7 +321,7 @@ class ConcreteValidator:
                         if model == PROBE:
                             spec = hierarchy_spec.with_policy(policy)
                             observed = {
-                                spy_probe_view(trace.view(_KIND_CODES[kind], 0),
+                                spy_probe_view(trace.stream(_KIND_CODES[kind]),
                                                CacheHierarchy(spec))
                                 for trace in traces}
                         else:
@@ -371,10 +377,11 @@ class ConcreteValidator:
                             f"{cpu_b.get_reg(EAX):#x} for {label}")
                         continue
                     written = sorted({
-                        access.addr + offset
-                        for access in trace_a.accesses
-                        if access.kind == WRITE and access.addr < stack_floor
-                        for offset in range(access.size)
+                        addr + offset
+                        for kind, addr, size in zip(
+                            trace_a.kinds, trace_a.addrs, trace_a.sizes)
+                        if kind == WRITE and addr < stack_floor
+                        for offset in range(size)
                     })
                     differing = [
                         addr for addr in written

@@ -14,10 +14,10 @@ from repro.vm.cache import (
 from repro.vm.cpu import CPU, CPUError, StepLimitExceeded
 from repro.vm.memory import FlatMemory
 from repro.vm.perf import CostModel, PerfCounters
-from repro.vm.tracer import FETCH, READ, WRITE, Access, Trace
+from repro.vm.tracer import FETCH, READ, WRITE, Trace
 
 __all__ = [
-    "Access", "CPU", "CPUError", "CacheConfig", "CacheStats", "CostModel",
+    "CPU", "CPUError", "CacheConfig", "CacheStats", "CostModel",
     "FETCH", "FIFOPolicy", "FlatMemory", "LRUPolicy", "POLICIES",
     "PerfCounters", "READ", "ReplacementPolicy", "SetAssociativeCache",
     "StepLimitExceeded", "Trace", "TreePLRUPolicy", "WRITE", "make_policy",

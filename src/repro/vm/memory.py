@@ -9,6 +9,8 @@ even though the concrete addresses differ.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.core.bitvec import truncate
 from repro.isa.image import Image
 
@@ -16,6 +18,25 @@ __all__ = ["FlatMemory", "MemoryError_", "DEFAULT_HEAP_BASE", "DEFAULT_STACK_TOP
 
 DEFAULT_HEAP_BASE = 0x0900_0000
 DEFAULT_STACK_TOP = 0x0BFF_F000
+
+
+_ADDRESS_MASK = 0xFFFF_FFFF
+_LAST_WORD = _ADDRESS_MASK - 3  # highest address a 4-byte access does not wrap
+
+# Address -> byte map of each image's sections, built once per image
+# (images are immutable after assembly) and dropped with the image.
+_IMAGE_BYTES: weakref.WeakKeyDictionary[Image, dict[int, int]] = (
+    weakref.WeakKeyDictionary())
+
+
+def _image_bytes(image: Image) -> dict[int, int]:
+    snapshot = _IMAGE_BYTES.get(image)
+    if snapshot is None:
+        snapshot = {section.base + offset: value
+                    for section in image.sections
+                    for offset, value in enumerate(section.data)}
+        _IMAGE_BYTES[image] = snapshot
+    return snapshot
 
 
 class MemoryError_(Exception):
@@ -40,10 +61,13 @@ class FlatMemory:
     # Image loading
     # ------------------------------------------------------------------
     def load_image(self, image: Image) -> None:
-        """Copy every section of an assembled image into memory."""
-        for section in image.sections:
-            for offset, value in enumerate(section.data):
-                self._bytes[section.base + offset] = value
+        """Copy every section of an assembled image into memory.
+
+        The image's bytes overwrite whatever memory holds at their
+        addresses, so a second CPU on the same memory starts from the
+        image's initial data again.
+        """
+        self._bytes.update(_image_bytes(image))
 
     # ------------------------------------------------------------------
     # Byte/word access
@@ -57,16 +81,27 @@ class FlatMemory:
         self._bytes[truncate(addr, 32)] = value & 0xFF
 
     def read(self, addr: int, size: int) -> int:
-        """Little-endian read of ``size`` bytes."""
+        """Little-endian read of ``size`` bytes (addresses wrap at 2**32)."""
+        get = self._bytes.get
+        if size == 4 and 0 <= addr <= _LAST_WORD:
+            return (get(addr, 0) | get(addr + 1, 0) << 8
+                    | get(addr + 2, 0) << 16 | get(addr + 3, 0) << 24)
         value = 0
         for offset in range(size):
-            value |= self.read_byte(addr + offset) << (8 * offset)
+            value |= get((addr + offset) & _ADDRESS_MASK, 0) << (8 * offset)
         return value
 
     def write(self, addr: int, value: int, size: int) -> None:
-        """Little-endian write of ``size`` bytes."""
+        """Little-endian write of ``size`` bytes (addresses wrap at 2**32)."""
+        memory = self._bytes
+        if size == 4 and 0 <= addr <= _LAST_WORD:
+            memory[addr] = value & 0xFF
+            memory[addr + 1] = (value >> 8) & 0xFF
+            memory[addr + 2] = (value >> 16) & 0xFF
+            memory[addr + 3] = (value >> 24) & 0xFF
+            return
         for offset in range(size):
-            self.write_byte(addr + offset, (value >> (8 * offset)) & 0xFF)
+            memory[(addr + offset) & _ADDRESS_MASK] = (value >> (8 * offset)) & 0xFF
 
     def read_block(self, addr: int, size: int) -> bytes:
         """Read a contiguous range as bytes."""

@@ -19,39 +19,42 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["Access", "Trace", "FETCH", "READ", "WRITE"]
+__all__ = ["Trace", "FETCH", "READ", "WRITE"]
 
 FETCH = "I"
 READ = "R"
 WRITE = "W"
 
 
-@dataclass(frozen=True, slots=True)
-class Access:
-    """One memory access: kind (fetch/read/write), address, size in bytes."""
-
-    kind: str
-    addr: int
-    size: int
-
-
 @dataclass(slots=True)
 class Trace:
-    """An ordered record of the accesses of one concrete execution."""
+    """An ordered record of the accesses of one concrete execution.
 
-    accesses: list[Access] = field(default_factory=list)
+    Access ``i`` is ``(kinds[i], addrs[i], sizes[i])``: kind (fetch/read/
+    write), address and size in bytes.  The per-cache address streams are
+    derived on first use and reused by every later view of the same trace.
+    """
+
+    kinds: list[str] = field(default_factory=list)
+    addrs: list[int] = field(default_factory=list)
+    sizes: list[int] = field(default_factory=list)
+    # "I"/"D" -> (trace length when derived, address stream)
+    _streams: dict[str, tuple[int, list[int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def record(self, kind: str, addr: int, size: int) -> None:
         """Append one access."""
-        self.accesses.append(Access(kind, addr, size))
+        self.kinds.append(kind)
+        self.addrs.append(addr)
+        self.sizes.append(size)
 
     def fetches(self) -> list[int]:
         """Addresses of all instruction fetches."""
-        return [a.addr for a in self.accesses if a.kind == FETCH]
+        return list(self.stream("I"))
 
     def data_accesses(self) -> list[int]:
         """Addresses of all data reads and writes."""
-        return [a.addr for a in self.accesses if a.kind != FETCH]
+        return list(self.stream("D"))
 
     def view(self, cache_kind: str, offset_bits: int, stuttering: bool = False) -> tuple:
         """The adversary's view of this trace (paper §3.2).
@@ -61,7 +64,7 @@ class Trace:
         granularity; ``stuttering=True`` collapses maximal runs of equal
         observations.
         """
-        observations = [addr >> offset_bits for addr in self._stream(cache_kind)]
+        observations = [addr >> offset_bits for addr in self.stream(cache_kind)]
         if not stuttering:
             return tuple(observations)
         collapsed: list[int] = []
@@ -70,15 +73,27 @@ class Trace:
                 collapsed.append(observation)
         return tuple(collapsed)
 
-    def _stream(self, cache_kind: str) -> list[int]:
-        """The addresses of one cache's access stream."""
-        if cache_kind == "I":
-            return self.fetches()
-        if cache_kind == "D":
-            return self.data_accesses()
+    def stream(self, cache_kind: str) -> list[int]:
+        """The addresses of one cache's access stream (shared; do not mutate).
+
+        ``cache_kind`` is "I", "D" or "shared", as for :meth:`view`.
+        """
         if cache_kind == "shared":
-            return [a.addr for a in self.accesses]
-        raise ValueError(f"unknown cache kind {cache_kind!r}")
+            return self.addrs
+        length = len(self.addrs)
+        cached = self._streams.get(cache_kind)
+        if cached is not None and cached[0] == length:
+            return cached[1]
+        if cache_kind == "I":
+            stream = [addr for kind, addr in zip(self.kinds, self.addrs)
+                      if kind == FETCH]
+        elif cache_kind == "D":
+            stream = [addr for kind, addr in zip(self.kinds, self.addrs)
+                      if kind != FETCH]
+        else:
+            raise ValueError(f"unknown cache kind {cache_kind!r}")
+        self._streams[cache_kind] = (length, stream)
+        return stream
 
     def hit_miss_view(self, cache_kind: str, cache) -> tuple[bool, ...]:
         """The trace-based adversary's view: the hit/miss sequence.
@@ -89,7 +104,8 @@ class Trace:
         of distinct values over all secrets is bounded by the block-trace
         count (see :mod:`repro.core.adversary`).
         """
-        return tuple(cache.access(addr) for addr in self._stream(cache_kind))
+        access = cache.access
+        return tuple(access(addr) for addr in self.stream(cache_kind))
 
     def time_view(self, cache_kind: str, cache) -> tuple[int, int]:
         """The time-based adversary's view: total (hits, misses).
@@ -103,4 +119,4 @@ class Trace:
         return hits, len(sequence) - hits
 
     def __len__(self) -> int:
-        return len(self.accesses)
+        return len(self.addrs)

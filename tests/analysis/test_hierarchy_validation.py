@@ -90,7 +90,7 @@ class TestCrossCoreLeakAndClosure:
         spec = HierarchySpec.from_wire(scenario.hierarchy)
         views = {
             spy_probe_view(trace.view("shared", 0), CacheHierarchy(spec))
-            for trace in validator._collect_traces(lam)}
+            for trace in validator.traces(lam)}
         assert len(views) > 1
         assert len(views) <= result.report.adversaries[SHARED_PROBE].count
 

@@ -9,6 +9,7 @@ from repro.core.leakage import ObservationBound
 from repro.core.observers import AccessKind
 from repro.isa.asmparse import parse_asm
 from repro.isa.registers import EAX, ESI
+from repro.vm.cpu import CPU
 
 CONFIG = AnalysisConfig(observer_names=("address", "block"))
 
@@ -139,3 +140,48 @@ class TestCheck:
             result, layouts=[{"p": 0x9000000}])
         assert not outcome.ok
         assert any("D-Cache/address" in v for v in outcome.violations)
+
+
+class TestTraceReuse:
+    """Each (layout, secret) runs on the VM once per validator, however many
+    checks and views are derived from its trace."""
+
+    LAYOUTS = [{"p": 0x9000000}, {"p": 0x9000404}]
+
+    def _result(self):
+        image = build(SECRET_BRANCH)
+        spec = InputSpec(entry="main",
+                         registers=(InputSpec.reg_high(EAX, [0, 1, 2]),
+                                    InputSpec.reg_symbol(ESI, "p")))
+        return image, spec, analyze(image, spec, CONFIG)
+
+    def _count_runs(self, monkeypatch):
+        runs = []
+        original = CPU.run
+
+        def counted(cpu, *args, **kwargs):
+            runs.append(cpu)
+            return original(cpu, *args, **kwargs)
+        monkeypatch.setattr(CPU, "run", counted)
+        return runs
+
+    def test_check_then_adversaries_run_each_secret_once(self, monkeypatch):
+        image, spec, result = self._result()
+        assert result.report.adversaries
+        separate = (ConcreteValidator(image, spec).check(result, self.LAYOUTS),
+                    ConcreteValidator(image, spec).check_adversaries(
+                        result, self.LAYOUTS, policies=("lru", "fifo", "plru")))
+        runs = self._count_runs(monkeypatch)
+        validator = ConcreteValidator(image, spec)
+        shared = (validator.check(result, self.LAYOUTS),
+                  validator.check_adversaries(result, self.LAYOUTS,
+                                              policies=("lru", "fifo", "plru")))
+        assert len(runs) == len(self.LAYOUTS) * 3
+        validator.views(self.LAYOUTS[0], "D", 0)
+        assert validator.traces(dict(self.LAYOUTS[1])) is validator.traces(self.LAYOUTS[1])
+        first, second = (validator.traces(lam) for lam in self.LAYOUTS)
+        assert [trace.addrs for trace in first] != [trace.addrs for trace in second]
+        assert len(runs) == len(self.LAYOUTS) * 3
+        for mine, fresh in zip(shared, separate):
+            assert (mine.checked, mine.violations) == (fresh.checked, fresh.violations)
+        assert all(report.checked and report.ok for report in shared)

@@ -1,6 +1,11 @@
-"""Concrete CPU tests: instruction semantics, calls, tracing, hooks."""
+"""Concrete CPU tests: instruction semantics, calls, tracing, hooks.
+
+Every program run through ``run_program`` also runs on the reference VM
+(``reference_vm.py``), which must agree on the whole outcome.
+"""
 
 import pytest
+import reference_vm
 
 from repro.isa.asmparse import parse_asm
 from repro.vm.cpu import CPU, CPUError, StepLimitExceeded
@@ -8,12 +13,11 @@ from repro.vm.memory import FlatMemory
 from repro.vm.tracer import Trace
 
 
-def run_program(text, entry="main", fuel=100_000, memory=None, regs=None):
+def run_program(text, entry="main", fuel=100_000):
     image = parse_asm(text).assemble()
-    cpu = CPU(image, memory=memory, trace=Trace())
-    for reg, value in (regs or {}).items():
-        cpu.set_reg(reg, value)
-    cpu.run(entry, fuel=fuel)
+    cpu = CPU(image, trace=Trace())
+    reference = reference_vm.CPU(image, trace=reference_vm.Trace())
+    reference_vm.assert_same_run(cpu, reference, entry, fuel)
     return cpu
 
 
@@ -316,10 +320,24 @@ class TestMemory:
             lea eax, [ebx+8]
             ret
         """)
-        data = [a for a in cpu.trace.accesses if a.kind != "I"]
+        data = cpu.trace.data_accesses()
         # Only the run() sentinel push and the final ret pop touch memory.
         assert len(data) == 2
         assert cpu.get_reg(0) == 0x9000008
+
+    def test_word_access_wraps_at_the_top_of_the_address_space(self):
+        memory = FlatMemory()
+        memory.write(0xFFFFFFFE, 0x44332211, 4)
+        assert [memory.read_byte(addr) for addr in (0xFFFFFFFE, 0xFFFFFFFF, 0, 1)] \
+            == [0x11, 0x22, 0x33, 0x44]
+        assert memory.read(0xFFFFFFFE, 4) == 0x44332211
+        assert memory.read(0xFFFFFFFD, 4) == 0x33221100
+        assert memory.read(0xFFFFFFFF, 4) == 0x00443322
+        memory.write(0xFFFFFFFC, 0xDDCCBBAA, 4)  # the last word that does not wrap
+        assert memory.read(0xFFFFFFFC, 4) == 0xDDCCBBAA
+        assert memory.read(0, 4) == 0x4433
+        memory.write(0xFFFFFFFF, 0x01020304, 4)
+        assert [memory.read_byte(addr) for addr in (0xFFFFFFFF, 0, 1, 2)] == [4, 3, 2, 1]
 
     def test_malloc_model(self):
         memory = FlatMemory(heap_base=0x9000000)
